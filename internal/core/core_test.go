@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -212,6 +213,8 @@ func TestComplexityOrdersStructures(t *testing.T) {
 }
 
 func TestFilterFnEval(t *testing.T) {
+	nan := tuple.Double(math.NaN())
+	negZero := tuple.Double(math.Copysign(0, -1))
 	cases := []struct {
 		fn   FilterFn
 		v    tuple.Value
@@ -231,6 +234,49 @@ func TestFilterFnEval(t *testing.T) {
 		{FilterContains, tuple.String("hello"), tuple.String("ell"), true},
 		{FilterContains, tuple.String("hello"), tuple.String("xyz"), false},
 		{FilterContains, tuple.String("hello"), tuple.String(""), true},
+		// NaN compares equal to everything under Compare (neither < nor >)
+		// but unequal under Equal, as the value or as the literal.
+		{FilterLess, nan, tuple.Double(0.5), false},
+		{FilterLessEq, nan, tuple.Double(0.5), true},
+		{FilterGreater, nan, tuple.Double(0.5), false},
+		{FilterGreaterEq, nan, tuple.Double(0.5), true},
+		{FilterEq, nan, tuple.Double(0.5), false},
+		{FilterNotEq, nan, tuple.Double(0.5), true},
+		{FilterLess, tuple.Double(0.5), nan, false},
+		{FilterGreaterEq, tuple.Double(0.5), nan, true},
+		{FilterEq, tuple.Double(0.5), nan, false},
+		{FilterNotEq, tuple.Double(0.5), nan, true},
+		{FilterEq, nan, nan, false},
+		{FilterNotEq, nan, nan, true},
+		// Negative zero equals zero.
+		{FilterEq, negZero, tuple.Double(0), true},
+		{FilterNotEq, negZero, tuple.Double(0), false},
+		{FilterLess, negZero, tuple.Double(0), false},
+		{FilterGreaterEq, negZero, tuple.Double(0), true},
+		// Infinities order beyond the finite extremes.
+		{FilterGreater, tuple.Double(math.Inf(1)), tuple.Double(math.MaxFloat64), true},
+		{FilterLessEq, tuple.Double(math.Inf(1)), tuple.Double(math.MaxFloat64), false},
+		{FilterLess, tuple.Double(math.Inf(-1)), tuple.Double(-math.MaxFloat64), true},
+		{FilterGreaterEq, tuple.Double(math.Inf(-1)), tuple.Double(-math.MaxFloat64), false},
+		{FilterEq, tuple.Double(math.Inf(1)), tuple.Double(math.Inf(1)), true},
+		// Integer extremes compare without overflow.
+		{FilterLess, tuple.Int(math.MinInt64), tuple.Int(math.MaxInt64), true},
+		{FilterGreaterEq, tuple.Int(math.MinInt64), tuple.Int(math.MaxInt64), false},
+		{FilterEq, tuple.Int(math.MaxInt64), tuple.Int(math.MaxInt64), true},
+		{FilterLessEq, tuple.Int(math.MaxInt64), tuple.Int(math.MaxInt64), true},
+		{FilterGreater, tuple.Int(math.MaxInt64), tuple.Int(math.MaxInt64), false},
+		// Mixed kinds order by kind (Int before Double), never by value,
+		// and are never equal.
+		{FilterLess, tuple.Int(1), tuple.Double(0.5), true},
+		{FilterGreater, tuple.Int(1), tuple.Double(0.5), false},
+		{FilterEq, tuple.Int(1), tuple.Double(1), false},
+		{FilterNotEq, tuple.Int(1), tuple.Double(1), true},
+		{FilterLess, tuple.Double(0.5), tuple.Int(1), false},
+		{FilterGreaterEq, tuple.Double(0.5), tuple.Int(1), true},
+		{FilterEq, tuple.Double(1), tuple.Int(1), false},
+		// An unknown function keeps nothing.
+		{FilterFn(99), tuple.Int(1), tuple.Int(1), false},
+		{FilterFn(99), tuple.Double(0.5), tuple.Double(0.5), false},
 	}
 	for _, c := range cases {
 		if got := c.fn.Eval(c.v, c.lit); got != c.want {

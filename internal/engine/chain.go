@@ -32,11 +32,6 @@ type chainedOp struct {
 	// the instance's routes after the tail). It is built once per run in
 	// bindEmit so the per-tuple path allocates no closures.
 	emit func(*tuple.Tuple)
-	// Columnar plane: the filter's compiled kernel and resolved field,
-	// lazily built from the first batch's column kind (see kernelFor in
-	// column.go). Nil until then; row-only chains never populate it.
-	kern   core.Kernel
-	kfield int
 }
 
 // buildChains partitions the plan's operators into chains (each a slice
@@ -116,15 +111,8 @@ func (c *chainedOp) bindEmit(oi *opInstance, i int) {
 		oi.applyAt(i+1, out, 0)
 	}
 	if c.join != nil {
-		if oi.colJoin {
-			c.join.columnar = true
-			c.join.outCap = oi.rt.opts.ColumnarBatch
-			c.join.nOut = &c.nOut
-			c.join.emitOut = oi.emitColumns
-		} else {
-			c.join.emitPair = func(arrived, buffered *tuple.Tuple, side int) {
-				c.emit(c.join.joined(arrived, buffered, side))
-			}
+		c.join.emitPair = func(arrived, buffered *tuple.Tuple, side int) {
+			c.emit(c.join.joined(arrived, buffered, side))
 		}
 	}
 }
@@ -196,8 +184,7 @@ func (oi *opInstance) flushChain() {
 		case c.agg != nil:
 			c.agg.flush(c.emit)
 		case c.join != nil:
-			c.join.flushColumns() // ship the partial columnar out-batch
-			c.join.release()      // window buffers go back to the pool
+			c.join.release() // window buffers go back to the pool
 		case c.udo != nil:
 			c.udo.Flush(c.emit)
 		}

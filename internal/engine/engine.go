@@ -75,16 +75,6 @@ type Options struct {
 	// operator runs into single instances (Flink task chaining),
 	// replacing channel hops with function calls on the fused links.
 	ChainOperators bool
-	// Columnar enables the struct-of-arrays data plane: sources fill
-	// column batches, stateless chains (filter, spec-less map/flatMap,
-	// sink) execute compiled vectorized kernels over contiguous slabs,
-	// and row-only chains (aggregates, joins, UDOs) are fed through the
-	// automatic row fallback at the routers. Sink output is bit-identical
-	// to a row-plane run. Forced off when Throttle or Faults is set —
-	// pacing and chaos injection are per-row mechanisms.
-	Columnar bool
-	// ColumnarBatch is the column batch row capacity (default 1024).
-	ColumnarBatch int
 	// WatermarkInterval is how many tuples a source emits between
 	// periodic watermark assertions when its generator is not punctuated
 	// (default 256). Punctuated generators (those implementing
@@ -125,13 +115,6 @@ type Report struct {
 	// panicked; the engine isolates such failures per tuple.
 	UDOPanics uint64
 	Elapsed   time.Duration
-	// Columnar accounting (zero unless Options.Columnar): batches routed
-	// on the columnar plane, and the subset that fell back to per-row
-	// materialization because the receiving chain is row-only. A fallback
-	// count > 0 on a columnar run means part of the plan executed on the
-	// row plane — automatic, but visible.
-	ColumnarBatches         uint64
-	ColumnarFallbackBatches uint64
 	// Fault accounting (all zero unless Options.Faults was set):
 	// primitive fault events applied, instance revivals, summed instance
 	// downtime, and tuples processed by revived instance lives.
@@ -218,16 +201,8 @@ func New(plan *core.PQP, opts Options) (*Runtime, error) {
 	if opts.BatchLinger <= 0 {
 		opts.BatchLinger = time.Millisecond
 	}
-	if opts.ColumnarBatch <= 0 {
-		opts.ColumnarBatch = 1024
-	}
 	if opts.WatermarkInterval <= 0 {
 		opts.WatermarkInterval = 256
-	}
-	if opts.Throttle || len(opts.Faults) > 0 {
-		// Pacing and fault injection act per row; the columnar plane
-		// would bypass both. Automatic fallback to the row plane.
-		opts.Columnar = false
 	}
 	for _, src := range plan.Sources() {
 		if _, ok := opts.Sources[src.ID]; !ok {
@@ -278,10 +253,8 @@ func (r *Runtime) build() error {
 			r.chainHead[id] = head.ID
 		}
 		insts := make([]*opInstance, head.Parallelism)
-		colOK := head.Kind != core.OpSource && chainAcceptsColumns(ops)
 		for i := range insts {
 			insts[i] = newOpInstance(r, ops, i)
-			insts[i].colOK = colOK
 		}
 		r.insts[head.ID] = insts
 		tails[head.ID] = chain[len(chain)-1]
@@ -319,34 +292,6 @@ func (r *Runtime) build() error {
 			}
 			for _, dinst := range targets {
 				dinst.expectEOS[side] += tailOp.Parallelism
-			}
-		}
-	}
-	// Columnar sources and tail joins: produce column batches only when
-	// some route can consume them; otherwise the row path avoids a
-	// pointless fill-then-materialize round trip per tuple. A join
-	// qualifies only as a single-op chain (joins are always chain heads;
-	// with fused followers its output must flow through the row chain).
-	if r.opts.Columnar {
-		for id, insts := range r.insts {
-			kind := r.plan.Op(id).Kind
-			if kind != core.OpSource && kind != core.OpJoin {
-				continue
-			}
-			for _, inst := range insts {
-				if kind == core.OpJoin && len(inst.chain) != 1 {
-					break
-				}
-				for _, rt := range inst.routes {
-					if rt.colOK {
-						if kind == core.OpSource {
-							inst.colSrc = true
-						} else {
-							inst.colJoin = true
-						}
-						break
-					}
-				}
 			}
 		}
 	}
@@ -410,10 +355,6 @@ func (r *Runtime) Run(ctx context.Context) (*Report, error) {
 				s.In += c.nIn
 				s.Out += c.nOut
 				rep.PerOperator[c.op.ID] = s
-			}
-			for _, route := range inst.routes {
-				rep.ColumnarBatches += route.colBatches
-				rep.ColumnarFallbackBatches += route.colFallback
 			}
 		}
 	}

@@ -320,8 +320,6 @@ func (r *Runtime) declareDead(ctx context.Context, oi *opInstance, crash *CrashE
 			case msg.kind == msgWatermark:
 				// Watermarks carry no payload; a dead instance just
 				// swallows them.
-			case msg.cb != nil:
-				msg.cb.Release()
 			default:
 				for _, t := range *msg.b {
 					t.Release()

@@ -31,9 +31,6 @@ const (
 type message struct {
 	kind msgKind
 	b    *[]*tuple.Tuple
-	// cb carries a columnar batch instead of b when the columnar plane
-	// is active on this edge (exactly one of b/cb is set for msgData).
-	cb   *tuple.ColumnBatch
 	side int
 	// from identifies the producing router's watermark slot on the
 	// receiver's side (see router.wmID); wm is the asserted watermark
@@ -89,18 +86,6 @@ type router struct {
 	// side: receivers keep one watermark per producing instance and
 	// advance on the minimum across all of them (assigned in build).
 	wmID int32
-
-	// Columnar plane (see column.go). colOK records whether the target
-	// chain accepts column batches; when false, sendColumns falls back
-	// to per-row materialization through send. colBufs holds per-target
-	// pending scatter batches for hash partitioning, colPending the rows
-	// buffered across them; colBatches/colFallback count batches routed
-	// and batches that fell back to the row plane.
-	colOK       bool
-	colBufs     []*tuple.ColumnBatch
-	colPending  int
-	colBatches  uint64
-	colFallback uint64
 }
 
 // newRouter resolves the hash key field for the downstream operator: the
@@ -134,8 +119,6 @@ func newRouter(down *core.Operator, targets []*opInstance, side, fromIdx, batchS
 		batchSize: batchSize,
 		bufs:      make([]*[]*tuple.Tuple, len(targets)),
 		sentEOS:   make([]bool, len(targets)),
-		colOK:     len(targets) > 0 && targets[0].colOK,
-		colBufs:   make([]*tuple.ColumnBatch, len(targets)),
 	}
 }
 
@@ -192,11 +175,8 @@ func (rt *router) flushTo(ctx context.Context, di int) bool {
 	}
 }
 
-// flushAll ships every pending partial batch, row and columnar.
+// flushAll ships every pending partial batch.
 func (rt *router) flushAll(ctx context.Context) bool {
-	if !rt.flushColAll(ctx) {
-		return false
-	}
 	if rt.pending == 0 {
 		return true
 	}
@@ -251,18 +231,6 @@ type opInstance struct {
 	// chain's window state and is forwarded downstream.
 	wmIn  [2][]int64
 	curWM int64
-
-	// colOK: this chain accepts column batches (set in build; see
-	// chainAcceptsColumns). colSrc: this source instance produces them —
-	// true only when the columnar plane is on AND at least one route
-	// accepts columns, so a plan of row-only consumers never pays the
-	// fill-then-materialize round trip.
-	// colJoin: this instance is a tail join emitting its matches as
-	// column batches (set in build when the columnar plane is on and a
-	// route can consume them; see appendJoinPair).
-	colOK   bool
-	colSrc  bool
-	colJoin bool
 
 	// Sink instances batch their metric updates: deliveries stamp one
 	// wall-clock read per input batch (nowUnix) and accumulate counts
@@ -349,7 +317,7 @@ func (oi *opInstance) emit(t *tuple.Tuple) {
 func (oi *opInstance) pendingOut() int {
 	n := 0
 	for _, rt := range oi.routes {
-		n += rt.pending + rt.colPending
+		n += rt.pending
 	}
 	return n
 }
@@ -371,10 +339,6 @@ func (oi *opInstance) flushRoutes(ctx context.Context) bool {
 func (oi *opInstance) run(ctx context.Context) {
 	oi.ctx = ctx
 	if oi.head().Kind == core.OpSource {
-		if oi.colSrc {
-			oi.runSourceColumnar(ctx)
-			return
-		}
 		oi.runSource(ctx)
 		return
 	}
@@ -433,27 +397,11 @@ func (oi *opInstance) run(ctx context.Context) {
 			oi.noteWatermark(msg.side, msg.from, msg.wm)
 			continue
 		}
-		var n int
-		if msg.cb != nil {
-			n = msg.cb.Live()
-			// The batch's watermark stamp rides behind its rows: read it
-			// now (the batch is released during apply), note it after.
-			cbWM := msg.cb.Watermark()
-			if oi.colOK {
-				oi.applyColumns(msg.cb)
-			} else {
-				oi.materializeColumns(msg.cb, msg.side)
-			}
-			if cbWM != tuple.NoEventTime {
-				oi.noteWatermark(msg.side, msg.from, cbWM)
-			}
-		} else {
-			n = len(*msg.b)
-			for _, t := range *msg.b {
-				oi.applyAt(0, t, msg.side)
-			}
-			putBatch(msg.b)
+		n := len(*msg.b)
+		for _, t := range *msg.b {
+			oi.applyAt(0, t, msg.side)
 		}
+		putBatch(msg.b)
 		if oi.flt != nil {
 			oi.maybeSlow(n)
 		}

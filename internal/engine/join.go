@@ -67,18 +67,9 @@ type joiner struct {
 	latenessNs int64
 	rt         *Runtime
 
-	// Exactly one emission sink is bound per run (bindEmit). The row
-	// plane sets emitPair, which materializes each match as a pooled
-	// joined tuple. The columnar plane (Options.Columnar with a
-	// batch-capable route) sets columnar/outCap/emitOut/nOut instead:
-	// matches append straight into out — no per-match tuple, no closure
-	// hops — and full batches ship via emitOut.
+	// emitPair is the emission sink bound once per run (bindEmit); it
+	// materializes each match as a pooled joined tuple.
 	emitPair func(arrived, buffered *tuple.Tuple, side int)
-	columnar bool
-	outCap   int
-	out      *tuple.ColumnBatch
-	emitOut  func(*tuple.ColumnBatch)
-	nOut     *uint64
 }
 
 func newJoiner(spec *core.JoinSpec, latenessNs int64) *joiner {
@@ -188,32 +179,8 @@ func (j *joiner) advance(wm int64) {
 	}
 }
 
-// probe scans one bucket for matches with the arriving tuple. The
-// columnar branch appends each match's concatenated row directly into
-// the out-batch — the left/right ordering branch is hoisted out of the
-// loop (side is fixed per arrival) and the only per-match calls are
-// Equal and AppendJoined.
+// probe scans one bucket for matches with the arriving tuple.
 func (j *joiner) probe(bucket []joinEntry, t *tuple.Tuple, key tuple.Value, side int) {
-	if !j.columnar {
-		for i := range bucket {
-			e := &bucket[i]
-			if !e.key.Equal(key) {
-				continue
-			}
-			if j.lenNs > 0 {
-				d := t.EventTime - e.et
-				if d < 0 {
-					d = -d
-				}
-				if d > j.lenNs {
-					continue
-				}
-			}
-			j.emitPair(t, e.t, side)
-		}
-		return
-	}
-	matches := uint64(0)
 	for i := range bucket {
 		e := &bucket[i]
 		if !e.key.Equal(key) {
@@ -228,47 +195,8 @@ func (j *joiner) probe(bucket []joinEntry, t *tuple.Tuple, key tuple.Value, side
 				continue
 			}
 		}
-		matches++
-		l, r := t, e.t
-		if side == 1 {
-			l, r = e.t, t
-		}
-		out := j.out
-		if out == nil {
-			out = j.newOut(l, r)
-		}
-		if out.AppendJoined(l, r) >= out.Cap() {
-			j.flushColumns()
-		}
+		j.emitPair(t, e.t, side)
 	}
-	*j.nOut += matches
-}
-
-// newOut allocates the columnar out-batch, deriving its column kinds
-// from the first match's pair; the stream's schema is stable, so every
-// later match agrees.
-func (j *joiner) newOut(l, r *tuple.Tuple) *tuple.ColumnBatch {
-	kinds := make([]tuple.Type, 0, l.Width()+r.Width())
-	for _, v := range l.Values {
-		kinds = append(kinds, v.Kind)
-	}
-	for _, v := range r.Values {
-		kinds = append(kinds, v.Kind)
-	}
-	j.out = tuple.GetColumnBatch(kinds, j.outCap)
-	return j.out
-}
-
-// flushColumns seals and ships the pending out-batch (batch-full or
-// end-of-stream); a no-op on the row plane, where out is never set.
-func (j *joiner) flushColumns() {
-	cb := j.out
-	if cb == nil {
-		return
-	}
-	j.out = nil
-	cb.Seal(cb.Len())
-	j.emitOut(cb)
 }
 
 // joined concatenates values left-then-right regardless of arrival side.

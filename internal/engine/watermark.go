@@ -49,8 +49,7 @@ func (oi *opInstance) initWatermarks() {
 // across every producer on every populated side advanced, moves the
 // instance clock: window/join state fires and evicts, then the new
 // watermark is forwarded downstream. Per-slot max-merge makes delivery
-// idempotent and tolerant of the redundant stamp channel (column
-// batches carry their producer's watermark too).
+// idempotent: a repeated or stale assertion never moves a slot back.
 func (oi *opInstance) noteWatermark(side int, from int32, wm int64) {
 	if side != 0 {
 		side = 1

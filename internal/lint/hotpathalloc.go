@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/types"
 	"path"
 	"path/filepath"
 	"strings"
@@ -26,25 +25,17 @@ var hotAllocCalls = map[string]map[string]string{
 }
 
 // strictOnlyPkgs names the package directories (by base name) where
-// only the strict-file set is in scope: internal/tuple and internal/core
-// legitimately format in cold paths (Value.String, spec rendering), and
-// internal/stream formats in its cold generators (stream.Word), so the
-// rule covers just their columnar and event-time files.
-var strictOnlyPkgs = map[string]bool{"tuple": true, "core": true, "stream": true}
-
-// columnarFile reports whether base names a columnar data-plane file:
-// column batches (column*.go) or compiled kernels (kernel*.go). These
-// files get the stricter kernel-loop checks on top of the general table.
-func columnarFile(base string) bool {
-	return strings.HasPrefix(base, "column") || strings.HasPrefix(base, "kernel")
-}
+// only the event-time files are in scope: internal/stream formats in its
+// cold generators (stream.Word), so the rule covers just disorder*.go
+// there.
+var strictOnlyPkgs = map[string]bool{"stream": true}
 
 // eventTimeFile reports whether base names an event-time plane file:
 // watermark propagation, session-window state, or disordered delivery.
 // Their loops run per message or per arrival — a watermark merge scans
 // every producer slot on each marker, session coalescing walks the open
-// spans of a key on each tuple — so they carry the same strict loop
-// bans as the columnar files.
+// spans of a key on each tuple — so they get strict loop bans on top of
+// the general table.
 func eventTimeFile(base string) bool {
 	return strings.HasPrefix(base, "watermark") ||
 		strings.HasPrefix(base, "session") ||
@@ -59,25 +50,22 @@ func eventTimeFile(base string) bool {
 // The rule bans the constructs this repo has already paid to remove,
 // so they cannot creep back in.
 //
-// Columnar files (column*.go, kernel*.go — including those in
-// internal/tuple and internal/core) additionally ban, inside any loop:
-// every fmt call, and per-row tuple boxing (tuple.Get or
-// ColumnBatch.MaterializeRow). Kernels exist to stay on the column
-// slabs; a deliberate row-fallback loop carries //lint:ignore with its
-// reason, which keeps every fallback visible to the linter.
+// Event-time files (watermark*.go, session*.go, disorder*.go — including
+// those in internal/stream) additionally ban, inside any loop: every fmt
+// call, and per-row tuple boxing (tuple.Get). A deliberate per-row
+// allocation carries //lint:ignore with its reason, which keeps it
+// visible to the linter.
 func HotPathAlloc() *Analyzer {
 	return &Analyzer{
 		Name: "hotpath-alloc",
 		Doc: "Data-plane code (internal/engine, internal/des, internal/simengine) must not call " +
 			"per-invocation allocators on hot paths: hash/fnv constructors (inline the FNV-1a " +
 			"loop), time.After (reuse one time.Timer), or fmt.Sprintf (format off the hot path). " +
-			"Columnar files (column*.go, kernel*.go; also in internal/tuple and internal/core) " +
-			"and event-time plane files (watermark*.go, session*.go, disorder*.go; also in " +
-			"internal/stream) further ban fmt calls and per-row tuple boxing (tuple.Get, " +
-			"MaterializeRow) inside loops — kernels operate on column slabs, and watermark " +
-			"merges and session coalescing run per message. " +
+			"Event-time plane files (watermark*.go, session*.go, disorder*.go; also in " +
+			"internal/stream) further ban fmt calls and per-row tuple boxing (tuple.Get) " +
+			"inside loops — watermark merges and session coalescing run per message. " +
 			"Suppress deliberately-cold call sites with //lint:ignore hotpath-alloc <reason>.",
-		DefaultDirs: []string{"internal/engine", "internal/des", "internal/simengine", "internal/tuple", "internal/core", "internal/stream"},
+		DefaultDirs: []string{"internal/engine", "internal/des", "internal/simengine", "internal/stream"},
 		Run:         runHotPathAlloc,
 	}
 }
@@ -86,7 +74,7 @@ func runHotPathAlloc(p *Pass) {
 	strictOnly := strictOnlyPkgs[path.Base(p.Pkg.Dir)]
 	for _, f := range p.Pkg.Files {
 		base := filepath.Base(p.Pkg.Fset.Position(f.Pos()).Filename)
-		isStrict := columnarFile(base) || eventTimeFile(base)
+		isStrict := eventTimeFile(base)
 		if strictOnly && !isStrict {
 			continue
 		}
@@ -94,7 +82,7 @@ func runHotPathAlloc(p *Pass) {
 			if isStrict {
 				switch n.(type) {
 				case *ast.ForStmt, *ast.RangeStmt:
-					checkKernelLoop(p, n)
+					checkStrictLoop(p, n)
 				}
 			}
 			call, isCall := n.(*ast.CallExpr)
@@ -116,12 +104,11 @@ func runHotPathAlloc(p *Pass) {
 	}
 }
 
-// checkKernelLoop applies the columnar-file bans to one loop body: no
-// fmt at all (kernel loops run per batch row, so even Fprintf to a
-// discarded writer is per-row work), and no per-row boxing — the whole
-// point of the columnar plane is that rows stay unmaterialized until a
-// row-only consumer forces them.
-func checkKernelLoop(p *Pass, loop ast.Node) {
+// checkStrictLoop applies the event-time-file bans to one loop body: no
+// fmt at all (these loops run per message or per arrival, so even
+// Fprintf to a discarded writer is per-element work), and no per-row
+// tuple boxing.
+func checkStrictLoop(p *Pass, loop ast.Node) {
 	var body *ast.BlockStmt
 	switch l := loop.(type) {
 	case *ast.ForStmt:
@@ -139,24 +126,11 @@ func checkKernelLoop(p *Pass, loop ast.Node) {
 		}
 		if pkgPath, name, ok := pkgFuncCall(p, call); ok {
 			if pkgPath == "fmt" {
-				p.Reportf(call.Pos(), "fmt.%s inside a kernel loop runs per row; format outside the loop or drop it", name)
+				p.Reportf(call.Pos(), "fmt.%s inside an event-time loop runs per element; format outside the loop or drop it", name)
 				return true
 			}
 			if path.Base(pkgPath) == "tuple" && name == "Get" {
-				p.Reportf(call.Pos(), "tuple.Get inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
-				return true
-			}
-		}
-		if _, recvPkg, typeName, method, ok := methodCallOn(p, call); ok {
-			if typeName == "ColumnBatch" && method == "MaterializeRow" && path.Base(recvPkg) == "tuple" {
-				p.Reportf(call.Pos(), "MaterializeRow inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
-			}
-			return true
-		}
-		// Unqualified Get(...) inside package tuple itself.
-		if id, isID := call.Fun.(*ast.Ident); isID && id.Name == "Get" {
-			if fn, isFn := p.ObjectOf(id).(*types.Func); isFn && fn.Pkg() != nil && path.Base(fn.Pkg().Path()) == "tuple" {
-				p.Reportf(call.Pos(), "tuple.Get inside a kernel loop boxes a pooled row per iteration; operate on the column slabs, or //lint:ignore a deliberate row fallback")
+				p.Reportf(call.Pos(), "tuple.Get inside an event-time loop boxes a pooled row per iteration; reuse the arriving tuple, or //lint:ignore a deliberate allocation")
 			}
 		}
 		return true

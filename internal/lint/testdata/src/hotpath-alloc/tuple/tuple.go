@@ -1,40 +1,15 @@
 // Package tuple mirrors the repo's tuple package shape: a pooled row
-// type with a Get constructor and a ColumnBatch with MaterializeRow.
-// This file is NOT a columnar file (tuple.go), so the cold-path
-// formatting below is legal even though the package is in scope.
+// type with a Get constructor. It sits outside the rule's scoped dirs;
+// the event-time fixtures import it to exercise the tuple.Get loop ban.
 package tuple
-
-import "fmt"
 
 // Tuple is a minimal pooled row.
 type Tuple struct {
 	Values []int64
 }
 
-// Get returns a pooled tuple — the boxing call kernel loops must avoid.
+// Get returns a pooled tuple — the boxing call event-time loops must
+// avoid.
 func Get(width int) *Tuple {
 	return &Tuple{Values: make([]int64, width)}
-}
-
-// ColumnBatch is a minimal struct-of-arrays batch.
-type ColumnBatch struct {
-	ints []int64
-	sel  []int32
-}
-
-// Sel returns the selection vector.
-func (b *ColumnBatch) Sel() []int32 { return b.sel }
-
-// MaterializeRow boxes one row out of the batch. The single Get here is
-// outside any loop — boxing once per call is the method's whole job.
-func (b *ColumnBatch) MaterializeRow(i int) *Tuple {
-	t := Get(1)
-	t.Values[0] = b.ints[i]
-	return t
-}
-
-// String formats for diagnostics: a cold path in a non-columnar file,
-// where fmt stays legal.
-func (t *Tuple) String() string {
-	return fmt.Sprintf("tuple%v", t.Values)
 }

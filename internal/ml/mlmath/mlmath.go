@@ -179,6 +179,9 @@ type Adam struct {
 	b1   float64
 	b2   float64
 	eps  float64
+	// c1, c2 are the bias corrections 1-b1^t and 1-b2^t, recomputed once
+	// per timestep instead of once per parameter.
+	c1, c2 float64
 }
 
 // NewAdam allocates optimizer state for n parameters.
@@ -188,18 +191,22 @@ func NewAdam(n int) *Adam {
 
 // Tick advances the shared timestep; call once per optimizer step before
 // Update calls.
-func (a *Adam) Tick() { a.t++ }
+func (a *Adam) Tick() {
+	a.t++
+	a.c1 = 1 - math.Pow(a.b1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.b2, float64(a.t))
+}
 
 // Update returns the parameter delta for gradient g at index i. The
 // timestep is advanced lazily on index 0 so Dense.Step needs no extra
 // bookkeeping.
 func (a *Adam) Update(i int, g, lr float64) float64 {
 	if i == 0 {
-		a.t++
+		a.Tick()
 	}
 	a.m[i] = a.b1*a.m[i] + (1-a.b1)*g
 	a.v[i] = a.b2*a.v[i] + (1-a.b2)*g*g
-	mh := a.m[i] / (1 - math.Pow(a.b1, float64(a.t)))
-	vh := a.v[i] / (1 - math.Pow(a.b2, float64(a.t)))
+	mh := a.m[i] / a.c1
+	vh := a.v[i] / a.c2
 	return lr * mh / (math.Sqrt(vh) + a.eps)
 }

@@ -147,6 +147,20 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
+func TestAdamBiasCorrectedFirstSteps(t *testing.T) {
+	// With bias correction, m̂ = g and v̂ = g² for a constant gradient, so
+	// every step moves by lr·g/(|g|+eps) from the very first one.
+	a := NewAdam(2)
+	for step := 1; step <= 3; step++ {
+		for i, g := range []float64{0.5, -4} {
+			want := 0.01 * g / (math.Abs(g) + 1e-8)
+			if got := a.Update(i, g, 0.01); math.Abs(got-want) > 1e-12 {
+				t.Errorf("step %d param %d: delta %v, want %v", step, i, got, want)
+			}
+		}
+	}
+}
+
 func TestDenseLearnsLinearMap(t *testing.T) {
 	// A single Dense layer trained with Adam must fit y = 2x₀ − x₁ + 1.
 	rng := rand.New(rand.NewSource(3))

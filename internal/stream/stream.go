@@ -96,41 +96,6 @@ func (s *Synthetic) Next() (*tuple.Tuple, bool) {
 	return t, true
 }
 
-// NextColumns fills a column batch directly — the engine's
-// ColumnFiller fast path, skipping per-tuple boxing entirely. It
-// consumes randomness in exactly Next()'s order (one inter-arrival gap,
-// then the fields left to right, per row), so a columnar run from a
-// seed produces bit-identical tuples to a row run from the same seed.
-func (s *Synthetic) NextColumns(b *tuple.ColumnBatch) int {
-	rows := b.Cap()
-	ev := b.EventCol()
-	n := 0
-	for n < rows {
-		if s.max > 0 && s.n >= s.max {
-			break
-		}
-		s.n++
-		s.now += stats.Exponential(s.rng, s.rate) * 1e9
-		for i, f := range s.schema.Fields {
-			switch f.Type {
-			case tuple.TypeInt:
-				if i == 0 && s.zipf != nil {
-					b.IntCol(i)[n] = int64(s.zipf.Next())
-				} else {
-					b.IntCol(i)[n] = int64(s.rng.Intn(IntFieldMax))
-				}
-			case tuple.TypeDouble:
-				b.FloatCol(i)[n] = s.rng.Float64()
-			default:
-				b.StrCol(i)[n] = Word(s.rng.Intn(VocabularySize))
-			}
-		}
-		ev[n] = int64(s.now)
-		n++
-	}
-	return n
-}
-
 func (s *Synthetic) randomValue(t tuple.Type, isKey bool) tuple.Value {
 	switch t {
 	case tuple.TypeInt:

@@ -254,7 +254,7 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// NoEventTime marks a tuple (or column-batch row) whose event time has
+// NoEventTime marks a tuple whose event time has
 // not been assigned yet. Sources stamp ingest wall-clock time over it.
 // It is an explicit out-of-band marker, not a sentinel inside the valid
 // domain: 0 is a legitimate event time (streams whose epoch starts at

@@ -15,10 +15,9 @@
 #   BENCH_COUNT=5 scripts/bench.sh         # repetitions (default 3)
 #
 # The default selection is the substrate scoreboard: the real engine's
-# filter and join pipelines (columnar plane), the event-time plane under
-# disorder (zipfburst windows with their late-drop rate, the windowed
-# join under bounded skew), the columnar kernel and batch-conversion
-# micro-benchmarks, and the DES simulator event rate — the benchmarks
+# filter and join pipelines, the event-time plane under disorder
+# (zipfburst windows with their late-drop rate, the windowed join under
+# bounded skew), and the DES simulator event rate — the benchmarks
 # the batched data plane is judged by. All of them report tuples/s, so
 # --compare can gate on throughput uniformly.
 #
@@ -28,7 +27,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FILTER="${BENCH_FILTER:-BenchmarkEngineFilterThroughput|BenchmarkEngineWindowedJoin|BenchmarkEngineDisorderedWindow|BenchmarkEngineWindowedJoinUnderSkew|BenchmarkColumnarFilterThroughput|BenchmarkColumnBatchConvert|BenchmarkSimulatorEventRate}"
+FILTER="${BENCH_FILTER:-BenchmarkEngineFilterThroughput|BenchmarkEngineWindowedJoin|BenchmarkEngineDisorderedWindow|BenchmarkEngineWindowedJoinUnderSkew|BenchmarkSimulatorEventRate}"
 COUNT="${BENCH_COUNT:-3}"
 BENCHTIME="${BENCH_TIME:-10x}"
 

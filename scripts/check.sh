@@ -20,17 +20,14 @@
 #   5. go test       — the full suite, race detector off, so the slow
 #                      shape tests still gate the merge
 #   6. fuzz smoke    — seconds per target to keep the harnesses honest
-#   7. columnar equivalence — the columnar plane re-proven bit-identical
-#                      to the row plane (engine batch tests, backend
-#                      parity off/on, kernel-vs-Eval table + fuzz smoke)
-#   8. event-time plane — watermark monotonicity and late-drop
+#   7. event-time plane — watermark monotonicity and late-drop
 #                      properties, session windows, and the disorder
 #                      parity cases pinned across both backends
-#   9. bench compare — scripts/bench.sh --compare gates >10% throughput
+#   8. bench compare — scripts/bench.sh --compare gates >10% throughput
 #                      regressions between the two newest same-machine
 #                      BENCH_*.json recordings
-#  10. fabric smoke  — the distributed fabric through the built binary
-#  11. storm smoke   — a short seeded storm against a self-hosted
+#   9. fabric smoke  — the distributed fabric through the built binary
+#  10. storm smoke   — a short seeded storm against a self-hosted
 #                      dispatcher: zero unexplained 5xx, per-tenant
 #                      fairness within tolerance
 #
@@ -99,21 +96,7 @@ fuzz_smoke() {
 }
 stage "fuzz smoke (2s per target)" fuzz_smoke
 
-#   7. columnar equivalence — the named suite that holds the columnar
-#      data plane to bit-identical outputs against the row plane: the
-#      engine's batch-vs-row and fallback tests, the backend parity
-#      cases run with Columnar off and on, the kernel-vs-Eval table,
-#      and a fuzz smoke over the kernel equivalence target. Runs inside
-#      `go test ./...` too; the explicit stage keeps the gate visible
-#      and fails with a focused name when the planes diverge.
-columnar_equivalence() {
-  go test -count=1 -run 'TestColumnar|TestCompileFilterMatchesEvalTable' \
-    ./internal/engine ./internal/core ./internal/backend
-  go test -run '^$' -fuzz '^FuzzColumnarKernelEquivalence$' -fuzztime 2s ./internal/core
-}
-stage "columnar equivalence (row vs column planes)" columnar_equivalence
-
-#   8. event-time plane — the watermark semantics held to their written
+#   7. event-time plane — the watermark semantics held to their written
 #      properties: per-channel monotonicity, late tuples dropped and
 #      counted (never reordered), in-order input reproducing the
 #      arrival-driven pane emissions bit for bit, session-window gap
@@ -124,22 +107,22 @@ event_time_plane() {
   go test -count=1 \
     -run 'TestNoteWatermark|TestEmitWatermark|TestLateDrops|TestBoundedDisorder|TestInOrderZeroLateness|TestSession|TestOpenSession' \
     ./internal/engine
-  go test -count=1 -run 'TestBackendParity|TestColumnarBackendParity|TestFaultParity' ./internal/backend
+  go test -count=1 -run 'TestBackendParity|TestFaultParity' ./internal/backend
 }
 stage "event-time plane (watermarks, lateness, disorder parity)" event_time_plane
 
-#   9. bench compare — throughput regression smoke over the recorded
+#   8. bench compare — throughput regression smoke over the recorded
 #      trajectory. Needs two BENCH_*.json files from the same machine to
 #      mean anything; with fewer than two it reports and passes.
 stage "bench.sh --compare" scripts/bench.sh --compare
 
-#  10. fabric smoke — the distributed campaign fabric exercised through
+#   9. fabric smoke — the distributed campaign fabric exercised through
 #      the built binary: a dispatcher process, an HTTP-enqueued sharded
 #      campaign, two worker daemons draining it. Catches CLI wiring and
 #      flag regressions the in-process tests cannot see.
 stage "scripts/fabric_smoke.sh" scripts/fabric_smoke.sh
 
-#  11. storm smoke — the serving front door under a short, seeded
+#  10. storm smoke — the serving front door under a short, seeded
 #      mixed-tenant saturation storm (self-hosted dispatcher, sim
 #      fidelity shrunk). --smoke fails the stage on any 5xx that is not
 #      a deliberate shed, on transport errors, and on per-tenant OK
@@ -152,7 +135,7 @@ storm_smoke() {
 }
 stage "storm smoke (seeded saturation, fairness gate)" storm_smoke
 
-#   12. (opt-in) substrate micro-benchmarks — set BENCH=1 to run
+#  11. (opt-in) substrate micro-benchmarks — set BENCH=1 to run
 #      scripts/bench.sh after the gates and record a BENCH_<n>.json
 #      entry in the performance trajectory. Not part of the default
 #      gate: benchmark numbers are machine-dependent and noisy on
